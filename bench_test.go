@@ -7,6 +7,7 @@ package emap_test
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"net"
 	"os"
 	"path/filepath"
@@ -329,35 +330,6 @@ func BenchmarkCloudSearchMultiTenant(b *testing.B) {
 	b.ReportMetric(float64(srv.Metrics.Evaluations.Load())/float64(max(b.N, 1)), "ω-evals/op")
 }
 
-// BenchmarkKernelDot measures the scan's innermost operation — the
-// 256-sample dot product behind every scalar ω — across the kernel
-// variants (naive single-accumulator loop vs the engine's unrolled and
-// pairwise kernels).
-func BenchmarkKernelDot(b *testing.B) {
-	gen := emap.NewGenerator(3)
-	rec := gen.SeizureInput(0, 30, 4)
-	x, y := rec.Samples[0:256], rec.Samples[256:512]
-	naive := func(a, b []float64) float64 {
-		var acc float64
-		for i := range a {
-			acc += a[i] * b[i]
-		}
-		return acc
-	}
-	var sink float64
-	for _, bc := range []struct {
-		name string
-		k    func(a, b []float64) float64
-	}{{"naive", naive}, {"unroll8", kernel.Dot}, {"pairwise", kernel.DotPairwise}} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sink += bc.k(x, y)
-			}
-		})
-	}
-	_ = sink
-}
-
 // BenchmarkKernelProfile compares one signal-set's FULL ω-numerator
 // profile computed the two ways the engine can: scalar dot products at
 // every offset (O(n·L)) vs one cached-plan FFT multiply+inverse
@@ -390,6 +362,67 @@ func BenchmarkKernelProfile(b *testing.B) {
 			p.Correlate(profile, segSpec, qSpec, work)
 		}
 	})
+}
+
+// BenchmarkKernelCrossover measures the constant behind the auto
+// kernel's sparse-to-dense flip (kernelCrossover in internal/search):
+// serial one-query skip walks over the default synthetic store, once
+// on the sparse dot kernel alone (cost per ω evaluation, window norm
+// and skip bookkeeping included) and once on the dense FFT profile
+// alone (cost per set pass, segment spectrum and norm table included).
+// Their ratio is the evaluation count at which one pass breaks even;
+// the crossover metric states it in the constant's unit, m·log₂(m)/n
+// evaluations.
+func BenchmarkKernelCrossover(b *testing.B) {
+	gen := emap.NewGenerator(1)
+	store, err := emap.BuildMDB(gen.TrainingRecordings(3, 2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	fir, err := dsp.DesignBandpass(100, 11, 40, 256, dsp.Hamming)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 256
+	filtered := fir.Apply(gen.SeizureInput(0, 30, 10).Samples)
+	windows := make([][]float64, 8)
+	for i := range windows {
+		windows[i] = filtered[(i+1)*n : (i+2)*n] // skip the filter transient
+	}
+	sparse := emap.NewSearcher(store, emap.SearchParams{Kernel: emap.KernelScalar, Workers: 1})
+	dense := emap.NewSearcher(store, emap.SearchParams{Kernel: emap.KernelFFT, Workers: 1})
+	scan := func(s *search.Searcher) (evals, profiles int, ns int64) {
+		start := time.Now()
+		for _, w := range windows {
+			r, err := s.Algorithm1(w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			evals += r.Evaluated
+			profiles += r.ProfileSets
+		}
+		return evals, profiles, time.Since(start).Nanoseconds()
+	}
+	scan(sparse) // FFT plans and promoted records, as a serving tenant has them
+	scan(dense)
+	b.ResetTimer()
+	var evals, profiles int
+	var sparseNs, denseNs int64
+	for i := 0; i < b.N; i++ {
+		e, _, ns := scan(sparse)
+		evals, sparseNs = evals+e, sparseNs+ns
+		_, p, ns := scan(dense)
+		profiles, denseNs = profiles+p, denseNs+ns
+	}
+	if evals == 0 || profiles == 0 {
+		b.Fatalf("nothing measured: %d evaluations, %d profiles", evals, profiles)
+	}
+	nsEval := float64(sparseNs) / float64(evals)
+	nsProfile := float64(denseNs) / float64(profiles)
+	m := kernel.PlanSizeFor(mdb.DefaultBuildConfig().SliceLen - 1 + n)
+	b.ReportMetric(nsEval, "ns/eval")
+	b.ReportMetric(nsProfile/1e3, "µs/profile")
+	b.ReportMetric(nsProfile/nsEval*n/float64(m*(bits.Len(uint(m))-1)), "crossover")
 }
 
 // BenchmarkExhaustiveFFT is the kernel engine's headline number: a

@@ -174,8 +174,11 @@ func main() {
 			rep.Chaos.ReadoptionP50Ms, rep.Chaos.ReadoptionMaxMs)
 	}
 	if rep.Durability != nil {
+		d := rep.Durability
 		logger.Printf("durability: %d ingests acked, %d survived the crash-restart, %d lost",
-			rep.Durability.IngestAcked, rep.Durability.IngestSurvived, rep.Durability.IngestLost)
+			d.IngestAcked, d.IngestSurvived, d.IngestLost)
+		logger.Printf("durability: %d restart(s), %d failed; %d connections severed; recovered in %.1f ms",
+			d.Restarts, d.RestartFailures, d.ConnsAtKill, d.RecoveryMs)
 	}
 
 	body, err := json.MarshalIndent(rep, "", "  ")

@@ -159,7 +159,10 @@ func (st *Stream) build() *pipeline.Pipe {
 			case <-ctx.Done():
 				return ctx.Err()
 			case <-st.closing:
-				return nil
+				// A cancel just before Close may lose the select
+				// race; it still ends the stream with the context
+				// error, not a report.
+				return ctx.Err()
 			case w := <-st.in:
 				if !emit(rawWindow{k: k, raw: w}) {
 					return ctx.Err()

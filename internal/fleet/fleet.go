@@ -247,11 +247,28 @@ type Report struct {
 // ingest the cloud acknowledged before the mid-run kill, checked
 // against the recovered stores. A non-zero IngestLost is a durability
 // bug — the acknowledgement promised the write was safe.
+//
+// The restart figures are the direct evidence that the kill happened
+// and bit: the devices' backoff redial can absorb it without a single
+// failed upload, so upload errors say nothing either way.
 type DurabilityReport struct {
 	CrashAtSeconds float64 `json:"crash_at_seconds"`
 	IngestAcked    int64   `json:"ingest_acked"`
 	IngestSurvived int64   `json:"ingest_survived"`
 	IngestLost     int64   `json:"ingest_lost"`
+
+	// Restarts counts servers rebuilt after a kill; RestartFailures
+	// counts rebuilds that failed (the cloud then stays down).
+	Restarts        int64 `json:"restarts"`
+	RestartFailures int64 `json:"restart_failures"`
+	// ConnsAtKill is the number of device connections the killed
+	// server was serving — each one severed by the kill.
+	ConnsAtKill int64 `json:"conns_at_kill"`
+	// RecoveryMs runs from the kill to the first upload the rebuilt
+	// server answers: the rebuild, the devices' redial backoff and the
+	// lazy snapshot + WAL replay of the tenant it touches. Zero when no
+	// upload succeeded after the restart.
+	RecoveryMs float64 `json:"recovery_ms"`
 }
 
 // runner is one run's shared state.
@@ -265,6 +282,17 @@ type runner struct {
 	mkSrv func() (*cloud.Server, error) // netsim mode: (re)builds the server
 	part  *netsim.Partition             // netsim mode
 	dial  func(d *device) (*edge.Client, error)
+
+	// liveConns counts device connections a server is handling; the
+	// crash-restart figures below are written by the kill timer and
+	// read after the run.
+	liveConns       atomic.Int64
+	restarts        atomic.Int64
+	restartFailures atomic.Int64
+	connsAtKill     atomic.Int64
+	killedAt        atomic.Int64 // Unix nanoseconds; zero before the kill
+	restartedAt     atomic.Int64 // Unix nanoseconds; zero until rebuilt
+	recoveryNanos   atomic.Int64
 
 	ingestAcked atomic.Int64
 	ackMu       sync.Mutex
@@ -393,7 +421,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 						return nil, errors.New("fleet: cloud restarting")
 					}
 					cs, ss := net.Pipe()
-					go cur.HandleConn(ss)
+					r.liveConns.Add(1)
+					go func() {
+						defer r.liveConns.Add(-1)
+						cur.HandleConn(ss)
+					}()
 					return r.part.Wrap(cs), nil
 				},
 			})
@@ -481,21 +513,28 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 // unevicted ingests), then rebuild the server over the same
 // directories the way a restarted process would.
 func (r *runner) crashRestart() {
+	r.killedAt.Store(time.Now().UnixNano())
 	r.srvMu.Lock()
 	old := r.srv
 	r.srv = nil
 	r.srvMu.Unlock()
+	// With r.srv cleared no new connection reaches the old server, so
+	// every connection still open is one the kill severs.
+	r.connsAtKill.Store(r.liveConns.Load())
 	if old != nil {
 		old.Close()
 	}
 	srv, err := r.mkSrv()
 	if err != nil {
+		r.restartFailures.Add(1)
 		r.logf("fleet: cloud restart failed: %v", err)
 		return
 	}
 	r.srvMu.Lock()
 	r.srv = srv
 	r.srvMu.Unlock()
+	r.restarts.Add(1)
+	r.restartedAt.Store(time.Now().UnixNano())
 	r.logf("fleet: cloud crash-restarted; tenants recover from snapshots + WAL replay")
 }
 
@@ -505,8 +544,12 @@ func (r *runner) crashRestart() {
 // them in a real deployment); acknowledged ones are not.
 func (r *runner) checkSurvival() *DurabilityReport {
 	rep := &DurabilityReport{
-		CrashAtSeconds: r.cfg.CrashAt.Seconds(),
-		IngestAcked:    r.ingestAcked.Load(),
+		CrashAtSeconds:  r.cfg.CrashAt.Seconds(),
+		IngestAcked:     r.ingestAcked.Load(),
+		Restarts:        r.restarts.Load(),
+		RestartFailures: r.restartFailures.Load(),
+		ConnsAtKill:     r.connsAtKill.Load(),
+		RecoveryMs:      float64(r.recoveryNanos.Load()) / 1e6,
 	}
 	srv := r.cloudSrv()
 	if srv == nil {
@@ -667,6 +710,9 @@ func (r *runner) uploadOnce(ctx context.Context, d *device) {
 		}
 		r.successes.Add(1)
 		r.markSuccess(d)
+		if ra := r.restartedAt.Load(); ra != 0 && begin.UnixNano() >= ra {
+			r.recoveryNanos.CompareAndSwap(0, time.Now().UnixNano()-r.killedAt.Load())
+		}
 	case edge.IsCloudCode(err, cloud.CodeShed):
 		// An admission refusal is the server protecting itself, not
 		// the device losing service: it does not open a degraded span.

@@ -161,8 +161,18 @@ func TestFleetCrashRestartNoLoss(t *testing.T) {
 	if d.IngestSurvived != d.IngestAcked {
 		t.Fatalf("survival accounting inconsistent: %+v", d)
 	}
-	if rep.Errors == 0 {
-		t.Fatal("a mid-run server kill must surface upload errors")
+	// The kill must have happened and bitten: one rebuilt server,
+	// device connections severed, a measured recovery. Upload errors
+	// are no evidence either way — the devices' backoff redial can
+	// absorb the kill without one.
+	if d.Restarts != 1 || d.RestartFailures != 0 {
+		t.Fatalf("want exactly one successful restart: %+v", d)
+	}
+	if d.ConnsAtKill == 0 {
+		t.Fatalf("the kill severed no device connection: %+v", d)
+	}
+	if d.RecoveryMs <= 0 {
+		t.Fatalf("no recovery time measured: %+v", d)
 	}
 	b, err := json.Marshal(rep)
 	if err != nil {
@@ -172,7 +182,7 @@ func TestFleetCrashRestartNoLoss(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Durability == nil || back.Durability.IngestAcked != d.IngestAcked {
+	if back.Durability == nil || *back.Durability != *d {
 		t.Fatal("durability report did not survive a JSON round trip")
 	}
 }

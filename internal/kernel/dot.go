@@ -5,8 +5,10 @@
 // offset of every stored signal-set — and this package supplies the
 // two ways to compute it fast:
 //
-//   - unrolled scalar dot products (Dot, DotPairwise) for the sparse
-//     skip walk, where Algorithm 1 touches only a fraction of offsets;
+//   - dot products (Dot, DotPairwise) for the sparse skip walk, where
+//     Algorithm 1 touches only a fraction of offsets — AVX2+FMA
+//     assembly on amd64 CPUs that have it, an unrolled Go loop
+//     elsewhere;
 //   - an FFT profiler (Engine, Profiler) that computes a signal-set's
 //     FULL ω numerator profile in O(L log L) — one cached-plan real
 //     transform of the stored region, one per unique query, one
@@ -18,12 +20,23 @@
 // plans per size.
 package kernel
 
-// Dot returns Σ a[i]·b[i] over len(a) elements (len(b) must be at
-// least len(a)). The loop is 8-way unrolled over four independent
-// accumulators, which both feeds the CPU's FMA ports and — by
-// splitting the sum into four interleaved sub-sums — already tightens
-// the worst-case rounding error versus a single running sum.
-func Dot(a, b []float64) float64 {
+// useAVX2FMA routes Dot and DotQF to the AVX2+FMA kernels. It is set
+// once at package init, on amd64 CPUs whose OS saves the YMM state
+// (dot_amd64.go), and stays false everywhere else. The equivalence
+// tests clear it to pin the generic path on vector-capable hosts.
+var useAVX2FMA bool
+
+// vecMin is the shortest vector handed to the assembly kernels:
+// anything shorter never reaches their 16-lane loop, so the Go loop
+// serves it.
+const vecMin = 16
+
+// dotGeneric is the portable Dot: Σ a[i]·b[i] over len(a) elements
+// (len(b) must be at least len(a)). The loop is 8-way unrolled over
+// four independent accumulators, which both feeds the CPU's FMA ports
+// and — by splitting the sum into four interleaved sub-sums — already
+// tightens the worst-case rounding error versus a single running sum.
+func dotGeneric(a, b []float64) float64 {
 	n := len(a)
 	b = b[:n]
 	var s0, s1, s2, s3 float64
@@ -33,25 +46,6 @@ func Dot(a, b []float64) float64 {
 		s1 += a[i+1]*b[i+1] + a[i+5]*b[i+5]
 		s2 += a[i+2]*b[i+2] + a[i+6]*b[i+6]
 		s3 += a[i+3]*b[i+3] + a[i+7]*b[i+7]
-	}
-	for ; i < n; i++ {
-		s0 += a[i] * b[i]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// Dot4 is the 4-way unrolled variant — marginally less register
-// pressure, for short windows where the 8-wide tail dominates.
-func Dot4(a, b []float64) float64 {
-	n := len(a)
-	b = b[:n]
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
 	}
 	for ; i < n; i++ {
 		s0 += a[i] * b[i]

@@ -1,46 +1,15 @@
 package kernel
 
-// Quantized kernels: the compressed-domain arithmetic of the tiered
-// MDB store (internal/mdb). Warm/cold records hold int16 counts on a
-// per-record scale; the ω numerator over a window is then
-//
-//	Σ q[i]·x[i] = qscale·xscale · Σ qc[i]·xc[i]
-//
-// so the inner loop runs entirely on int16 loads with int64
-// accumulation — a quarter of the memory traffic of the float64 path,
-// which is what the scan is bound by. int64 cannot overflow here:
-// |count| ≤ 2^15, so each product is < 2^30 and 2^33 terms would be
-// needed to reach 2^63; windows are a few thousand samples.
+// Quantized kernel: the compressed-domain arithmetic of the tiered MDB
+// store (internal/mdb). Warm/cold records hold int16 counts on a
+// per-record scale, so the stored side of the ω numerator is read as
+// int16 — a quarter of the memory traffic of the float64 path, which
+// is what the scan is bound by.
 
-// DotQ returns Σ a[i]·b[i] over len(a) int16 elements (len(b) must be
-// at least len(a)), accumulated in int64. 8-way unrolled like Dot;
-// integer addition is associative, so unlike the float kernels the
-// split accumulators change nothing but speed.
-func DotQ(a, b []int16) int64 {
-	n := len(a)
-	b = b[:n]
-	var s0, s1, s2, s3 int64
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		s0 += int64(a[i])*int64(b[i]) + int64(a[i+4])*int64(b[i+4])
-		s1 += int64(a[i+1])*int64(b[i+1]) + int64(a[i+5])*int64(b[i+5])
-		s2 += int64(a[i+2])*int64(b[i+2]) + int64(a[i+6])*int64(b[i+6])
-		s3 += int64(a[i+3])*int64(b[i+3]) + int64(a[i+7])*int64(b[i+7])
-	}
-	for ; i < n; i++ {
-		s0 += int64(a[i]) * int64(b[i])
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// DotQF returns Σ q[i]·float64(c[i]) over len(q) elements (len(c) must
-// be at least len(q)): the mixed-domain dot the quantized search path
-// uses for exact rescoring — the float query against the stored
-// counts, with the record scale folded in by the caller. Multiplying
-// by the scale AFTER the sum keeps the result bit-identical to
-// Dot(q, dequantize(c))·1 only up to reassociation, so the caller
-// treats it as its own kernel, not as a float-path replay.
-func DotQF(q []float64, c []int16) float64 {
+// dotQFGeneric is the portable DotQF: Σ q[i]·float64(c[i]) over len(q)
+// elements (len(c) must be at least len(q)), 8-way unrolled like
+// dotGeneric.
+func dotQFGeneric(q []float64, c []int16) float64 {
 	n := len(q)
 	c = c[:n]
 	var s0, s1, s2, s3 float64

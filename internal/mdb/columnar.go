@@ -182,7 +182,7 @@ func encodeColumnar(v *view) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("mdb: signal-set %d references missing record %q", set.ID, set.RecordID)
 		}
-		if set.Start < 0 || set.Length < 0 || set.Start > math.MaxUint32 || set.Length > math.MaxUint32 {
+		if set.Start < 0 || set.Length < 0 || int64(set.Start) > math.MaxUint32 || int64(set.Length) > math.MaxUint32 {
 			return nil, fmt.Errorf("mdb: signal-set %d bounds not encodable", set.ID)
 		}
 		e := buf[setsOff+uint64(setEntrySize*i):]

@@ -168,10 +168,12 @@ func TestGoldenScalarVsFFTEDFStore(t *testing.T) {
 // TestAutoKernelCrossoverDeterministic: the auto crossover is
 // per-cursor pay-as-you-go, so results must stay invariant across
 // worker counts and batch composition even when some sets flip dense
-// mid-pass. AllOffsets with a low δ forces dense evaluation density.
+// mid-pass. A four-second query has a dense budget a quarter of a
+// one-second query's, so its walks cross it in some sets and stay
+// sparse in others; AllOffsets with a low δ keeps every candidate.
 func TestAutoKernelCrossoverDeterministic(t *testing.T) {
 	f := newFixture(t, 2)
-	input := f.input(synth.Seizure, 1)
+	input := f.inputN(synth.Seizure, 1, 4*256)
 	params := Params{Kernel: KernelAuto, Delta: 0.05, AllOffsets: true}
 	p1 := params
 	p1.Workers = 1
@@ -185,8 +187,8 @@ func TestAutoKernelCrossoverDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.ProfileSets == 0 {
-		t.Skip("dense crossover never fired; density too low to exercise")
+	if r1.ProfileSets == 0 || r1.ProfileSets == r1.SetsScanned {
+		t.Fatalf("fixture no longer mixes kernels: %d of %d sets flipped dense", r1.ProfileSets, r1.SetsScanned)
 	}
 	if r1.ProfileSets != r8.ProfileSets || r1.Evaluated != r8.Evaluated {
 		t.Fatalf("kernel dispatch varies with workers: profiles %d vs %d, evals %d vs %d",

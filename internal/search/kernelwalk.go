@@ -51,12 +51,23 @@ func ParseKernelMode(s string) (KernelMode, bool) {
 }
 
 // kernelCrossover calibrates the dense budget: the FFT profile of one
-// (set, query) pair costs about kernelCrossover·m·log₂(m) scalar
-// multiply-adds (two cached-plan real transforms, a bin multiply and
-// the inverse, measured on the unrolled dot as the unit). A cursor
-// that has already burned that many dot-product samples in one set
-// pass finishes the set on the profile instead.
-const kernelCrossover = 4.0
+// (set, query) pair costs about kernelCrossover·m·log₂(m)/n sparse ω
+// evaluations (two cached-plan real transforms, a bin multiply, the
+// inverse and the pass's norm table, against one n-sample dot product
+// plus its window norm and skip step). A cursor that has already spent
+// that many evaluations in one set pass finishes the set on the
+// profile instead.
+//
+// BenchmarkKernelCrossover measures the ratio directly. On a 2-core
+// AVX-512-capable Xeon with the AVX2+FMA dot kernel it reads 6.0–7.2
+// (≈95 ns per evaluation, ≈55 µs per profile, m = 2048, n = 256), and
+// 7.3 over the 3,360-set ward store of perfbench; the Go-loop kernel
+// reads ≈3. The constant takes the rounded upper end: a flip late in a
+// set can win back only the offsets left, at most one slice, so a
+// budget set high loses less than one set low. Over 100 held-out
+// uploads scanned serially against the ward store, 4.0 flipped 10% of
+// set passes and took ≈7.7 s, 8.0 flipped 0.5% and took ≈6.4 s.
+const kernelCrossover = 8.0
 
 // maxWheelSpan bounds the bucket-queue wheel; parameter settings whose
 // maximum skip exceeds it (pathologically small OmegaFloor) fall back

@@ -48,6 +48,11 @@ func newFixture(t testing.TB, instancesPerArch int) *fixture {
 // the given class/archetype, positioned inside the region the MDB
 // instances cover.
 func (f *fixture) input(class synth.Class, arch int) []float64 {
+	return f.inputN(class, arch, 256)
+}
+
+// inputN is input with an n-sample window (n ≤ 1536).
+func (f *fixture) inputN(class synth.Class, arch, n int) []float64 {
 	off := 1800
 	if class == synth.Seizure {
 		off = (synth.OnsetAt-20)*256 + 1800
@@ -55,7 +60,7 @@ func (f *fixture) input(class synth.Class, arch int) []float64 {
 	rec := f.gen.Instance(class, arch, synth.InstanceOpts{
 		OffsetSamples: off, DurSeconds: 10, NoArtifacts: true})
 	filtered := f.fir.Apply(rec.Samples)
-	return filtered[1024:1280] // steady-state one-second window
+	return filtered[1024 : 1024+n] // past the filter transient
 }
 
 func TestAlgorithm1FindsMatches(t *testing.T) {
